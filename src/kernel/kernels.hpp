@@ -14,10 +14,13 @@
 //   pagerank     (plus, times)      dense mxv_plus per iteration, rank-local
 //                                   dangling mass folded via one allreduce,
 //                                   L1 convergence
-//   triangles    (plus, land) mask  masked SpGEMM shape: q SUMMA-style
-//                                   stages broadcasting one grid column's
-//                                   gathered adjacency along processor
-//                                   rows, counted by sorted-list merges
+//   triangles    (plus, land) mask  masked SpGEMM shape on the graph
+//                                   oriented by (degree, id): one degree
+//                                   allgatherv, then q SUMMA-style stages
+//                                   broadcasting one grid column's N⁺
+//                                   lists along processor rows, counted at
+//                                   each triangle's middle vertex by
+//                                   flag-array lookups
 //
 // Every kernel runs its own SPMD session over view.nranks() virtual ranks,
 // emits per-round obs spans (kernel-bfs/bfs-round, kernel-pagerank/
@@ -54,7 +57,8 @@ struct KernelStats {
   double modeled_seconds = 0;    ///< max over ranks, machine cost model
   double wall_seconds = 0;
   /// Vector elements through the collectives: frontier entries (BFS), dense
-  /// rank-vector elements (PageRank), broadcast adjacency entries (TC).
+  /// rank-vector elements (PageRank), and for TC the gathered adjacency
+  /// entries + broadcast N⁺ entries + n degree words.
   std::uint64_t words_moved = 0;
   std::uint64_t epoch = 0;       ///< view epoch the kernel ran against
   sim::SpmdResult spmd;          ///< per-rank counters for metrics / traces
@@ -96,11 +100,13 @@ BfsResult bfs(const GraphView& view, VertexId source,
 PageRankResult pagerank(const GraphView& view,
                         const KernelOptions& options = {});
 
-/// Exact triangle count: q SUMMA-style stages; stage k broadcasts grid
-/// column k's gathered adjacency along processor rows and every rank counts
-/// the wedges it is responsible for with sorted-list intersections (the
-/// masked L·Uᵀ shape, edges u<v and witnesses w>v so each triangle counts
-/// exactly once).
+/// Exact triangle count by the degree-oriented "forward" algorithm: rank
+/// vertices by ≺ = (degree, id) after one world allgatherv of degrees, keep
+/// each vertex's ≺-later neighbors N⁺, and run q SUMMA-style stages; stage
+/// k broadcasts grid column k's N⁺ lists along processor rows and every
+/// rank counts, for each owned v and neighbor u ≺ v, the w ∈ N⁺(u) ∩ N⁺(v)
+/// through a flag array (the masked L·Uᵀ shape, so each triangle u ≺ v ≺ w
+/// counts exactly once, at v).
 TriangleCountResult triangle_count(const GraphView& view,
                                    const KernelOptions& options = {});
 

@@ -1,17 +1,26 @@
 // Exact triangle counting: masked SpGEMM shape (L · Uᵀ against the mask of
-// stored edges), executed as q SUMMA-style stages.
+// stored edges) on the degree-oriented graph, executed as q SUMMA-style
+// stages — the Schank–Wagner "forward" algorithm, the same idea as
+// LAGraph's degree presort.
+//
+// Order: vertices are ranked by ≺ = (degree, id).  One world allgatherv
+// collects every rank's owned-chunk degrees (n words), so each rank can
+// orient any edge.  N⁺(x) = {w ∈ N(x) : x ≺ w} keeps at most
+// O(sqrt(m)) high-ranked neighbors per vertex, so a hub never rescans its
+// own list once per neighbor.
 //
 // Setup: each processor column j assembles the *full* adjacency of its
 // column range C_j with one allgatherv inside the column communicator —
 // the same gather alignment SpMV uses, and because grid rows own ascending
 // row blocks, a stable counting sort by column leaves every neighbor list
-// sorted.  Stage k then broadcasts grid column k's assembled adjacency
+// sorted.  It then filters those lists down to N⁺; filtering keeps id
+// order, so no sort is needed.  Stage k broadcasts grid column k's N⁺ lists
 // along processor rows (root = row-communicator rank k, whose ranks all
-// hold identical assembled data), and every rank counts the wedges it is
-// responsible for: rank (i, j) owns the vertices of vector chunk j*q + i,
-// and for each owned v and edge u < v with u in C_k it counts the common
-// neighbors w > v by a sorted-list merge.  Each triangle a < b < c is
-// counted exactly once, at v = b, u = a, w = c.
+// hold identical assembled data), and every rank counts the triangles whose
+// ≺-middle vertex it owns: rank (i, j) owns the vertices of vector chunk
+// j*q + i, and for each owned v it flags N⁺(v) in a per-rank n-length
+// array, scans N⁺(u) for every neighbor u ≺ v in C_k, and clears only the
+// flags it set.  Each triangle u ≺ v ≺ w is counted exactly once, at v.
 //
 // Counts are integers, so results are bit-identical across rank counts.
 
@@ -75,26 +84,56 @@ GatheredColumns gather_columns(dist::ProcGrid& grid, const dist::DistCsc& A) {
   return out;
 }
 
-/// |{w in a ∩ b : w > v}| by a two-pointer merge over the sorted tails.
-std::uint64_t count_common_above(std::span<const VertexId> a,
-                                 std::span<const VertexId> b, VertexId v,
-                                 double& work) {
-  auto ia = std::upper_bound(a.begin(), a.end(), v);
-  auto ib = std::upper_bound(b.begin(), b.end(), v);
-  work += static_cast<double>((a.end() - ia) + (b.end() - ib));
-  std::uint64_t count = 0;
-  while (ia != a.end() && ib != b.end()) {
-    if (*ia < *ib)
-      ++ia;
-    else if (*ib < *ia)
-      ++ib;
-    else {
-      ++count;
-      ++ia;
-      ++ib;
-    }
+/// deg[v] for every vertex: each rank contributes its owned chunk's degrees
+/// (read off the gathered colptr) to one world allgatherv, then places the
+/// rank-ordered segments at their chunk offsets.
+std::vector<std::uint64_t> gather_degrees(dist::ProcGrid& grid,
+                                          const BlockPartition& part,
+                                          const GatheredColumns& mine,
+                                          VertexId vbegin, VertexId vend) {
+  std::vector<std::uint64_t> owned;
+  owned.reserve(static_cast<std::size_t>(vend - vbegin));
+  for (VertexId v = vbegin; v < vend; ++v)
+    owned.push_back(mine.neighbors(v).size());
+  const std::vector<std::uint64_t> gathered =
+      grid.world().allgatherv(owned);
+
+  // World rank r = (i, j) owns vector chunk j*q + i.
+  const auto q = static_cast<std::uint64_t>(grid.q());
+  std::vector<std::uint64_t> deg(static_cast<std::size_t>(part.n));
+  auto at = gathered.begin();
+  for (std::uint64_t r = 0; r < q * q; ++r) {
+    const std::uint64_t chunk = (r % q) * q + r / q;
+    const auto len = static_cast<std::ptrdiff_t>(part.size(chunk));
+    std::copy(at, at + len,
+              deg.begin() + static_cast<std::ptrdiff_t>(part.begin(chunk)));
+    at += len;
   }
-  return count;
+  return deg;
+}
+
+/// a ≺ b under the (degree, id) total order.
+bool precedes(const std::vector<std::uint64_t>& deg, VertexId a, VertexId b) {
+  return deg[a] != deg[b] ? deg[a] < deg[b] : a < b;
+}
+
+/// N⁺ lists of `adj`: each column keeps only its ≺-later neighbors, in the
+/// same ascending id order.
+GatheredColumns orient(dist::ProcGrid& grid, const GatheredColumns& adj,
+                       const std::vector<std::uint64_t>& deg) {
+  GatheredColumns up;
+  up.begin = adj.begin;
+  up.end = adj.end;
+  const auto width = static_cast<std::size_t>(adj.end - adj.begin);
+  up.colptr.assign(width + 1, 0);
+  for (std::size_t c = 0; c < width; ++c) {
+    const VertexId x = adj.begin + c;
+    for (const VertexId w : adj.neighbors(x))
+      if (precedes(deg, x, w)) up.rows.push_back(w);
+    up.colptr[c + 1] = up.rows.size();
+  }
+  grid.world().charge_compute(static_cast<double>(adj.rows.size()));
+  return up;
 }
 
 }  // namespace
@@ -115,9 +154,6 @@ TriangleCountResult triangle_count(const GraphView& view,
     const auto q = static_cast<std::uint64_t>(grid.q());
     const BlockPartition& part = A.chunk_partition();
 
-    const GatheredColumns mine = gather_columns(grid, A);
-    std::uint64_t words = mine.rows.size();
-
     // The vertices this rank is responsible for: its own vector chunk,
     // which lies inside its column range C_j.
     const std::uint64_t chunk =
@@ -126,29 +162,51 @@ TriangleCountResult triangle_count(const GraphView& view,
     const VertexId vbegin = part.begin(chunk);
     const VertexId vend = part.end(chunk);
 
+    const GatheredColumns mine = gather_columns(grid, A);
+    const std::vector<std::uint64_t> deg =
+        gather_degrees(grid, part, mine, vbegin, vend);
+    GatheredColumns up = orient(grid, mine, deg);
+    std::uint64_t words = mine.rows.size() + part.n;
+
+    std::vector<std::uint8_t> flag(static_cast<std::size_t>(part.n), 0);
+    GatheredColumns received;
     std::uint64_t local = 0;
     for (std::uint64_t k = 0; k < q; ++k) {
       sim::Region stage(world, "tc-stage", static_cast<std::int64_t>(k));
-      GatheredColumns other;
-      other.begin = part.begin(k * q);
-      other.end = part.begin((k + 1) * q);
-      if (static_cast<std::uint64_t>(grid.my_col()) == k) {
-        other.colptr = mine.colptr;
-        other.rows = mine.rows;
-      }
+      // The root's N⁺ lists are already in `up`; everyone else receives.
+      received.begin = part.begin(k * q);
+      received.end = part.begin((k + 1) * q);
+      GatheredColumns& other =
+          static_cast<std::uint64_t>(grid.my_col()) == k ? up : received;
       grid.row_comm().bcast(other.colptr, static_cast<int>(k));
       grid.row_comm().bcast(other.rows, static_cast<int>(k));
       words += other.rows.size();
 
       double work = 0;
       for (VertexId v = vbegin; v < vend; ++v) {
+        const auto up_v = up.neighbors(v);
+        if (up_v.empty()) continue;  // v is no triangle's middle vertex
+        // Wedge edges u ≺ v with u owned by stage column k; neighbor lists
+        // are sorted, so the stage column's slice is contiguous.
         const auto nv = mine.neighbors(v);
-        // Wedge edges u < v with u owned by stage column k; neighbor lists
-        // are sorted, so the eligible u span is contiguous.
-        auto iu = std::lower_bound(nv.begin(), nv.end(), other.begin);
-        const VertexId ucap = std::min(v, other.end);
-        for (; iu != nv.end() && *iu < ucap; ++iu)
-          local += count_common_above(other.neighbors(*iu), nv, v, work);
+        const auto ub = std::lower_bound(nv.begin(), nv.end(), other.begin);
+        const auto ue = std::lower_bound(ub, nv.end(), other.end);
+        work += static_cast<double>(ue - ub);
+        bool flagged = false;
+        for (auto iu = ub; iu != ue; ++iu) {
+          if (!precedes(deg, *iu, v)) continue;
+          if (!flagged) {
+            for (const VertexId w : up_v) flag[w] = 1;
+            flagged = true;
+          }
+          const auto up_u = other.neighbors(*iu);
+          work += static_cast<double>(up_u.size());
+          for (const VertexId w : up_u) local += flag[w];
+        }
+        if (flagged) {
+          for (const VertexId w : up_v) flag[w] = 0;
+          work += 2 * static_cast<double>(up_v.size());
+        }
       }
       world.charge_compute(work);
     }

@@ -10,6 +10,7 @@
 
 #include "graph/generators.hpp"
 #include "kernel/kernels.hpp"
+#include "kernel/reference.hpp"
 #include "serve/server.hpp"
 #include "sim/machine.hpp"
 #include "stream/engine.hpp"
@@ -22,6 +23,23 @@ constexpr VertexId kN = 96;
 
 graph::EdgeList test_graph() {
   return graph::erdos_renyi(kN, 220, /*seed=*/19);
+}
+
+/// Stream-engine producer: `el` split into three epochs so the freeze
+/// exercises base + delta folding, not just the warm-load path.
+GraphView stream_freeze(const graph::EdgeList& el, int nranks) {
+  stream::StreamEngine engine(el.n, nranks, sim::MachineModel::edison());
+  const std::size_t third = el.edges.size() / 3;
+  for (std::size_t at = 0; at < el.edges.size(); at += third) {
+    graph::EdgeList slice(el.n);
+    slice.edges.assign(
+        el.edges.begin() + static_cast<std::ptrdiff_t>(at),
+        el.edges.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(at + third, el.edges.size())));
+    engine.ingest(slice);
+    engine.advance_epoch();
+  }
+  return engine.freeze_view();
 }
 
 TEST(GraphView, FromEdgesBasicProperties) {
@@ -40,21 +58,7 @@ TEST(GraphView, StreamFreezeMatchesFromScratch) {
   for (const int nranks : {1, 4, 9}) {
     const auto fresh =
         GraphView::from_edges(el, nranks, sim::MachineModel::edison());
-
-    stream::StreamEngine engine(kN, nranks, sim::MachineModel::edison());
-    // Split the stream into three epochs so the freeze exercises base +
-    // delta folding, not just the warm-load path.
-    const std::size_t third = el.edges.size() / 3;
-    for (std::size_t at = 0; at < el.edges.size(); at += third) {
-      graph::EdgeList slice(kN);
-      slice.edges.assign(
-          el.edges.begin() + static_cast<std::ptrdiff_t>(at),
-          el.edges.begin() + static_cast<std::ptrdiff_t>(
-                                 std::min(at + third, el.edges.size())));
-      engine.ingest(slice);
-      engine.advance_epoch();
-    }
-    const GraphView frozen = engine.freeze_view();
+    const GraphView frozen = stream_freeze(el, nranks);
 
     EXPECT_EQ(frozen.n(), fresh.n());
     EXPECT_EQ(frozen.nranks(), fresh.nranks());
@@ -89,6 +93,36 @@ TEST(GraphView, ServeSnapshotMatchesFromScratch) {
   EXPECT_EQ(served.n(), fresh.n());
   EXPECT_EQ(served.global_nnz(), fresh.global_nnz());
   EXPECT_EQ(bfs(served, 0).dist, bfs(fresh, 0).dist);
+}
+
+TEST(GraphView, ProducersAgreeOnPermutedRmat) {
+  // Permuting ids scatters RMAT's hubs, so triangle counting's (degree, id)
+  // orientation disagrees with id order almost everywhere.
+  const auto el =
+      graph::permute_vertices(graph::rmat(8, 1500, /*seed=*/23), /*seed=*/4);
+  const auto truth = reference_triangle_count(el);
+  EXPECT_GT(truth, 0u);
+  for (const int nranks : {1, 4, 9}) {
+    const auto fresh =
+        GraphView::from_edges(el, nranks, sim::MachineModel::edison());
+    const GraphView frozen = stream_freeze(el, nranks);
+
+    serve::ServeOptions options;
+    options.batch_max_edges = 128;
+    options.enable_kernel_queries = true;
+    serve::Server server(el.n, nranks, sim::MachineModel::edison(), options);
+    for (const graph::Edge& e : el.edges)
+      ASSERT_EQ(server.insert_edge(e.u, e.v).status, serve::ServeStatus::kOk);
+    server.flush();
+    const auto snap = server.snapshot();
+    ASSERT_NE(snap->view(), nullptr);
+
+    for (const GraphView* view : {&fresh, &frozen, snap->view().get()}) {
+      EXPECT_EQ(view->global_nnz(), fresh.global_nnz());
+      EXPECT_EQ(triangle_count(*view).triangles, truth) << "nranks=" << nranks;
+      EXPECT_EQ(bfs(*view, 0).dist, bfs(fresh, 0).dist);
+    }
+  }
 }
 
 TEST(GraphView, FreezeWithoutResidentDeltaSharesBlocks) {
