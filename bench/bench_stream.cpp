@@ -8,15 +8,14 @@
 // Setup: warm-load half of a path-forest graph (so nearly every streamed
 // edge still merges components — the worst case for the filter, the
 // honest case for the incremental kernels), then stream the rest in
-// batches of increasing size through two engines:
+// batches of increasing size and compare the mean modeled seconds per
+// epoch of two arms:
 //
-//   incremental   rebuild_threshold = 1 (never falls back)
-//   from-scratch  rebuild_threshold = 0 (full lacc_dist on every epoch
-//                 with at least one cross-component edge)
+//   incremental   a StreamEngine on default StreamOptions
+//   from-scratch  core::lacc_dist on the accumulated graph after each batch
 //
-// and compare the mean modeled seconds per epoch.  The crossover batch
-// size — where a batch dirties enough of the graph that recomputing is
-// cheaper — is the tuning target for StreamOptions::rebuild_threshold.
+// The crossover batch size is where recomputing becomes cheaper than the
+// incremental epoch.
 #include "bench_common.hpp"
 
 #include <filesystem>
@@ -32,19 +31,18 @@ constexpr int kRanks = 4;
 constexpr int kEpochsPerSize = 5;
 
 struct ArmResult {
-  double mean_epoch_modeled = 0;  ///< mean modeled seconds per epoch
-  std::uint64_t rebuilds = 0;
+  double inc_epoch_modeled = 0;      ///< mean modeled seconds per epoch
+  double scratch_epoch_modeled = 0;  ///< mean lacc_dist modeled seconds
+  std::uint64_t inc_rebuilds = 0;    ///< engine epochs that took the rebuild
 };
 
 /// Stream `kEpochsPerSize` batches of `batch_edges` edges (starting at
-/// `warm` edges already loaded) through one engine and average the
+/// `warm` edges already loaded) through one engine, and after each batch
+/// run lacc_dist from scratch on the accumulated graph; average both arms'
 /// per-epoch modeled cost.
-ArmResult run_arm(const graph::EdgeList& full, std::size_t warm,
-                  std::size_t batch_edges, double rebuild_threshold) {
-  stream::StreamOptions options;
-  options.rebuild_threshold = rebuild_threshold;
-  stream::StreamEngine engine(full.n, kRanks, sim::MachineModel::edison(),
-                              options);
+ArmResult run_arms(const graph::EdgeList& full, std::size_t warm,
+                   std::size_t batch_edges) {
+  stream::StreamEngine engine(full.n, kRanks, sim::MachineModel::edison());
 
   graph::EdgeList accumulated(full.n);
   auto feed = [&](std::size_t lo, std::size_t hi) {
@@ -57,21 +55,27 @@ ArmResult run_arm(const graph::EdgeList& full, std::size_t warm,
     return engine.advance_epoch();
   };
 
-  feed(0, warm);  // warm epoch: both arms pay the same initial build
+  feed(0, warm);  // warm epoch, outside both means
 
   ArmResult result;
-  double total = 0;
   int epochs = 0;
   std::size_t at = warm;
   for (int e = 0; e < kEpochsPerSize && at < full.edges.size(); ++e) {
     const std::size_t hi = std::min(at + batch_edges, full.edges.size());
     const auto st = feed(at, hi);
-    total += st.modeled_seconds();
-    result.rebuilds += st.full_rebuild ? 1 : 0;
+    result.inc_epoch_modeled += st.modeled_seconds();
+    result.inc_rebuilds += st.full_rebuild ? 1 : 0;
+    const auto scratch =
+        core::lacc_dist(accumulated, kRanks, sim::MachineModel::edison());
+    check_against_truth(accumulated, scratch.cc.parent);
+    result.scratch_epoch_modeled += scratch.modeled_seconds;
     ++epochs;
     at = hi;
   }
-  result.mean_epoch_modeled = epochs ? total / epochs : 0;
+  if (epochs > 0) {
+    result.inc_epoch_modeled /= epochs;
+    result.scratch_epoch_modeled /= epochs;
+  }
 
   check_against_truth(accumulated, engine.labels());
   return result;
@@ -154,25 +158,23 @@ int main() {
     batch = std::min(batch, full.edges.size() - warm);
     if (batch == prev) break;
     prev = batch;
-    const auto inc = run_arm(full, warm, batch, /*rebuild_threshold=*/1.0);
-    const auto scratch =
-        run_arm(full, warm, batch, /*rebuild_threshold=*/0.0);
+    const auto arms = run_arms(full, warm, batch);
     const double speedup =
-        inc.mean_epoch_modeled > 0
-            ? scratch.mean_epoch_modeled / inc.mean_epoch_modeled
+        arms.inc_epoch_modeled > 0
+            ? arms.scratch_epoch_modeled / arms.inc_epoch_modeled
             : 0;
-    const bool inc_wins = inc.mean_epoch_modeled < scratch.mean_epoch_modeled;
+    const bool inc_wins = arms.inc_epoch_modeled < arms.scratch_epoch_modeled;
     if (!inc_wins && crossover == 0) crossover = batch;
-    table.add_row({fmt_count(batch), fmt_seconds(inc.mean_epoch_modeled),
-                   fmt_seconds(scratch.mean_epoch_modeled),
+    table.add_row({fmt_count(batch), fmt_seconds(arms.inc_epoch_modeled),
+                   fmt_seconds(arms.scratch_epoch_modeled),
                    fmt_ratio(speedup),
                    inc_wins ? "incremental" : "from-scratch"});
     metrics.add_simple(
         "batch_" + std::to_string(batch),
         {{"batch_edges", static_cast<double>(batch)},
-         {"inc_epoch_modeled", inc.mean_epoch_modeled},
-         {"scratch_epoch_modeled", scratch.mean_epoch_modeled},
-         {"scratch_rebuilds", static_cast<double>(scratch.rebuilds)},
+         {"inc_epoch_modeled", arms.inc_epoch_modeled},
+         {"scratch_epoch_modeled", arms.scratch_epoch_modeled},
+         {"inc_rebuilds", static_cast<double>(arms.inc_rebuilds)},
          {"speedup", speedup}});
   }
   table.print(std::cout);

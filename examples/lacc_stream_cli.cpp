@@ -8,10 +8,9 @@
 //   --machine edison|cori|local   cost model (default edison)
 //   --scale S                 stand-in scale for gen: inputs
 //   --shuffle SEED            shuffle edges deterministically before batching
-//   --rebuild-threshold X     dirty-fraction fallback threshold (default 0.15)
 //   --compaction-factor X     delta/base compaction ratio (default 0.25)
 //   --prepass                 Afforest-style sampling pre-pass in the
-//                             full-rebuild path
+//                             rebuild path
 //   --sample-rounds N         pre-pass neighbor rounds (default 2)
 //   --no-frequent-skip        pre-pass: link every local edge
 //   --data-dir DIR            persist to DIR (WAL + run files + manifest);
@@ -25,8 +24,8 @@
 //   --json FILE               write lacc-metrics-v7 JSON (per-epoch array)
 //
 // Inputs are the same as lacc_cli (Matrix Market, LACC binary, gen:NAME).
-// Prints one table row per epoch — batch size, cross-component edges, dirty
-// mass, merges, surviving components, incremental vs rebuild — plus the
+// Prints one table row per epoch — batch size, cross-component edges,
+// merges, surviving components, incremental vs rebuild — plus the
 // accumulated modeled time.  Observability outputs go to files only, and
 // the durability report lines appear only under --data-dir, so memory-only
 // stdout is identical with and without them (docs/OBSERVABILITY.md).
@@ -54,8 +53,8 @@ namespace {
 int usage() {
   std::cerr << "usage: lacc_stream_cli <graph.mtx|graph.bin|gen:NAME> "
                "[--batches K] [--ranks N] [--machine edison|cori|local] "
-               "[--scale S] [--shuffle SEED] [--rebuild-threshold X] "
-               "[--compaction-factor X] [--prepass] [--sample-rounds N] "
+               "[--scale S] [--shuffle SEED] [--compaction-factor X] "
+               "[--prepass] [--sample-rounds N] "
                "[--no-frequent-skip] [--data-dir DIR] [--fsync batch|epoch] "
                "[--verify] [--out FILE] [--trace-out FILE] [--json FILE]\n";
   return 2;
@@ -127,9 +126,7 @@ int main(int argc, char** argv) {
       shuffle = true;
       shuffle_seed =
           static_cast<std::uint64_t>(parse_int("--shuffle", next()));
-    } else if (arg == "--rebuild-threshold")
-      options.rebuild_threshold = parse_double("--rebuild-threshold", next());
-    else if (arg == "--compaction-factor")
+    } else if (arg == "--compaction-factor")
       options.compaction_factor = parse_double("--compaction-factor", next());
     else if (arg == "--prepass")
       options.lacc.sampling_prepass = true;
@@ -169,11 +166,6 @@ int main(int argc, char** argv) {
   }
   if (scale <= 0) {
     std::cerr << "error: --scale must be positive (got " << scale << ")\n";
-    return usage();
-  }
-  if (options.rebuild_threshold < 0 || options.rebuild_threshold > 1) {
-    std::cerr << "error: --rebuild-threshold must be in [0, 1] (got "
-              << options.rebuild_threshold << ")\n";
     return usage();
   }
   if (options.compaction_factor < 0) {
@@ -228,8 +220,8 @@ int main(int argc, char** argv) {
 
     const auto& m = machine_by_name(machine);
     std::cout << "Engine: " << ranks << " virtual ranks (" << m.name
-              << " model), rebuild threshold " << options.rebuild_threshold
-              << ", compaction factor " << options.compaction_factor << "\n";
+              << " model), compaction factor " << options.compaction_factor
+              << "\n";
 
     Timer timer;
     stream::StreamEngine engine(el.n, ranks, m, options);
@@ -259,8 +251,8 @@ int main(int argc, char** argv) {
     const std::size_t per_batch =
         (el.edges.size() + static_cast<std::size_t>(batches) - 1) /
         static_cast<std::size_t>(std::max(batches, 1));
-    TextTable table({"epoch", "edges", "cross", "dirty", "merges",
-                     "components", "mode", "modeled"});
+    TextTable table({"epoch", "edges", "cross", "merges", "components",
+                     "mode", "modeled"});
     for (std::size_t at = 0; at < el.edges.size() || at == 0;
          at += std::max<std::size_t>(per_batch, 1)) {
       graph::EdgeList slice(el.n);
@@ -270,8 +262,8 @@ int main(int argc, char** argv) {
       engine.ingest(slice);
       const auto st = engine.advance_epoch();
       table.add_row({std::to_string(st.epoch), fmt_count(st.batch_edges),
-                     fmt_count(st.cross_edges), fmt_count(st.dirty_vertices),
-                     fmt_count(st.merges), fmt_count(st.components),
+                     fmt_count(st.cross_edges), fmt_count(st.merges),
+                     fmt_count(st.components),
                      st.full_rebuild ? "rebuild" : "inc",
                      fmt_seconds(st.modeled_seconds())});
       if (hi >= el.edges.size()) break;
@@ -331,7 +323,6 @@ int main(int argc, char** argv) {
              {"batch_edges", static_cast<double>(st.batch_edges)},
              {"delta_nnz", static_cast<double>(st.delta_nnz)},
              {"cross_edges", static_cast<double>(st.cross_edges)},
-             {"dirty_vertices", static_cast<double>(st.dirty_vertices)},
              {"merges", static_cast<double>(st.merges)},
              {"components", static_cast<double>(st.components)},
              {"relabeled_vertices",
@@ -357,7 +348,6 @@ int main(int argc, char** argv) {
           {{"scale", scale},
            {"ranks", static_cast<double>(ranks)},
            {"batches", static_cast<double>(batches)},
-           {"rebuild_threshold", options.rebuild_threshold},
            {"compaction_factor", options.compaction_factor},
            {"prepass", options.lacc.sampling_prepass ? 1.0 : 0.0}},
           {std::move(rec)});

@@ -74,8 +74,8 @@ enum class ServeStatus {
 const char* to_string(ServeStatus status);
 
 struct ServeOptions {
-  /// Streaming policy of the underlying engine (rebuild threshold,
-  /// compaction factor, LaccOptions).
+  /// Streaming policy of the underlying engine (compaction factor,
+  /// durability, LaccOptions).
   stream::StreamOptions stream;
 
   /// Close the pending batch once this many edges are queued...

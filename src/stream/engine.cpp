@@ -41,8 +41,31 @@ CommTuning tuning_from(const core::LaccOptions& options) {
 
 constexpr auto kSum = [](std::uint64_t a, std::uint64_t b) { return a + b; };
 
+/// An epoch whose batch carries more than this many cross pairs per vertex
+/// is folded in by a full lacc_dist_body recompute instead of hook rounds.
+/// Only bulk loads onto a young graph get there.  For a first batch at 4
+/// ranks the two paths tie in wall time between 2·n and 2.5·n cross pairs;
+/// the hook rounds win below that and the recompute above it (EXPERIMENTS.md
+/// has the sweep).  cross_total is already a global reduction, so the
+/// choice costs no collective.
+constexpr std::uint64_t kRebuildCrossPairsPerVertex = 2;
+
+/// One pointer jump's requests: every old root g (a comp_size key) that has
+/// hooked (labels[g] != g) goes to `roots`, its parent labels[g] to `req`.
+void request_jumps(const DistVec<std::uint64_t>& comp_size,
+                   const DistVec<VertexId>& labels,
+                   std::vector<VertexId>& roots, std::vector<VertexId>& req) {
+  comp_size.for_each_stored([&](VertexId g, std::uint64_t) {
+    const VertexId l = labels.at(g);
+    if (l != g) {
+      roots.push_back(g);
+      req.push_back(l);
+    }
+  });
+}
+
 /// Recompute labels + comp_size from the base via the static algorithm and
-/// re-canonicalize.  Shared by the full-rebuild path and recovery — the
+/// re-canonicalize.  Shared by the rebuild path and recovery — the
 /// canonical-label contract makes the result independent of how the base
 /// was accumulated, which is exactly why recovery-by-recompute republishes
 /// bit-identical labels.
@@ -77,8 +100,9 @@ struct StreamEngine::RankSlot {
   std::shared_ptr<DistCsc> base;
   std::optional<DeltaStore> delta;      ///< uncompacted edge runs
   std::optional<DistVec<VertexId>> labels;  ///< canonical min-id labels, dense
-  /// Component size stored exactly at current roots (drives the dirty
-  /// fraction without a global scan).
+  /// Component size stored exactly at current roots.  Its keys are the
+  /// root set the hook rounds' pointer jump, the shortcut and the relabel
+  /// iterate, so none of them scans all n labels.
   std::optional<DistVec<std::uint64_t>> comp_size;
   /// Durable WAL + run files + block cache (null when memory-only).
   std::unique_ptr<durable::RankStorage> store;
@@ -289,7 +313,7 @@ EpochStats StreamEngine::advance_epoch() {
   // Written by the matching rank / by rank 0 only; read after the join.
   std::vector<double> modeled(static_cast<std::size_t>(nranks_), 0.0);
   std::vector<VertexId> flat_labels;
-  std::uint64_t sh_cross = 0, sh_dirty = 0, sh_last_seq = 0;
+  std::uint64_t sh_cross = 0, sh_last_seq = 0;
   EdgeId sh_delta_nnz = 0;
   bool sh_full = false, sh_compact = false, sh_applied = false;
   int sh_iterations = 0;
@@ -331,33 +355,8 @@ EpochStats StreamEngine::advance_epoch() {
     }
     delta.mark_pending_processed();
 
-    // --- Dirty fraction: mark the touched roots, sum their component
-    // sizes.  This is what decides incremental vs full recompute.
-    std::uint64_t dirty = 0;
-    if (cross_total != 0) {
-      sim::Region region(world, "stream-dirty");
-      DistVec<std::uint8_t> touched(grid, n);
-      std::vector<VertexId> roots;
-      roots.reserve(cross.size() * 2);
-      for (const auto& [lo, hi] : cross) {
-        roots.push_back(lo);
-        roots.push_back(hi);
-      }
-      dist::scatter_set(grid, touched, std::move(roots), 1, tuning);
-      std::uint64_t local = 0;
-      touched.for_each_stored([&](VertexId g, std::uint8_t) {
-        LACC_DCHECK(comp_size.has(g));
-        local += comp_size.get_or(g, 0);
-      });
-      world.charge_compute(static_cast<double>(touched.local_nvals()));
-      dirty = world.allreduce(local, kSum);
-    }
-
     // --- Policy (uniform across ranks: all inputs are global reductions).
-    const double dirty_frac =
-        n == 0 ? 0.0 : static_cast<double>(dirty) / static_cast<double>(n);
-    const bool full =
-        cross_total != 0 && dirty_frac > options_.rebuild_threshold;
+    const bool full = cross_total > kRebuildCrossPairsPerVertex * n;
     const EdgeId delta_nnz = delta.global_nnz(grid);
     const bool compact =
         full || static_cast<double>(delta_nnz) >
@@ -385,7 +384,7 @@ EpochStats StreamEngine::advance_epoch() {
 
     int iterations = 0;
     if (full) {
-      // --- Fallback: the whole graph is in the base now; run the static
+      // --- Rebuild: the whole graph is in the base now; run the static
       // algorithm and re-canonicalize.  Every rank computes the same
       // normalized vector from the gathered parents.
       sim::Region region(world, "stream-rebuild");
@@ -395,9 +394,11 @@ EpochStats StreamEngine::advance_epoch() {
       // --- Incremental path: Shiloach–Vishkin on the contracted multigraph
       // whose vertices are current roots and whose edges are the cross
       // pairs.  Each round hooks larger roots onto smaller ones (the
-      // hook-to-root guard keeps the forest flat-ish) and pointer-jumps
-      // every remaining pair one level; a pair retires when its endpoints'
-      // labels agree.
+      // hook-to-root guard keeps the forest flat-ish), then one gather moves
+      // every remaining pair up a level and pointer-jumps every hooked old
+      // root (labels[g] <- labels[labels[g]]); a pair retires when its
+      // endpoints' labels agree.  Hooking then shortcutting halves the hook
+      // chains each round, so rounds are O(log n) even on an id-sorted path.
       sim::Region region(world, "stream-inc");
       while (true) {
         ++iterations;
@@ -415,10 +416,15 @@ EpochStats StreamEngine::advance_epoch() {
           req.push_back(lo);
           req.push_back(hi);
         }
+        std::vector<VertexId> jumpers;
+        request_jumps(comp_size, labels, jumpers, req);
         const auto got =
             dist::gather_values(grid, labels, req, tuning, "stream_inc");
+        const std::size_t pairs = cross.size();
+        for (std::size_t k = 0; k < jumpers.size(); ++k)
+          labels.set(jumpers[k], got[2 * pairs + k].first);
         std::size_t keep = 0;
-        for (std::size_t k = 0; k < cross.size(); ++k) {
+        for (std::size_t k = 0; k < pairs; ++k) {
           const VertexId lu = got[2 * k].first, lv = got[2 * k + 1].first;
           if (lu != lv) cross[keep++] = {std::min(lu, lv), std::max(lu, lv)};
         }
@@ -434,13 +440,7 @@ EpochStats StreamEngine::advance_epoch() {
         while (true) {
           std::vector<VertexId> targets;
           std::vector<VertexId> req;
-          comp_size.for_each_stored([&](VertexId g, std::uint64_t) {
-            const VertexId l = labels.at(g);
-            if (l != g) {
-              targets.push_back(g);
-              req.push_back(l);
-            }
-          });
+          request_jumps(comp_size, labels, targets, req);
           const auto got = dist::gather_values(grid, labels, req, tuning,
                                                "stream_shortcut");
           bool changed = false;
@@ -502,7 +502,6 @@ EpochStats StreamEngine::advance_epoch() {
     if (world.rank() == 0) {
       flat_labels = std::move(flat);
       sh_cross = cross_total;
-      sh_dirty = dirty;
       sh_delta_nnz = compact ? 0 : delta_nnz;
       sh_full = full;
       sh_compact = compact;
@@ -519,7 +518,6 @@ EpochStats StreamEngine::advance_epoch() {
   if (vs_ != nullptr) vs_->commit_epoch(st.epoch, sh_last_seq, sh_applied, plan);
 
   st.cross_edges = sh_cross;
-  st.dirty_vertices = sh_dirty;
   st.delta_nnz = sh_delta_nnz;
   st.full_rebuild = sh_full;
   st.compacted = sh_compact;

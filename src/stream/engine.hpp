@@ -12,14 +12,15 @@
 //      inside an existing component and cost nothing further);
 //   2. runs hook/shortcut iterations — the same Shiloach–Vishkin machinery
 //      as LACC, warm-started from the previous epoch's labels — on just the
-//      induced active set of component roots;
-//   3. falls back to a full lacc_dist recompute when the touched component
-//      mass ("dirty fraction") exceeds a threshold, where the incremental
-//      pass would degenerate into the full algorithm anyway.
+//      induced active set of component roots; every round hooks and then
+//      pointer-jumps the hooked roots, so rounds are O(log n);
+//   3. recomputes with lacc_dist instead when the batch carries more than
+//      2·n cross pairs (a bulk load onto a young graph), the one regime
+//      where one static solve beats the hook rounds.
 //
 // New edges live in the dist layer's LSM-style DeltaStore until a
 // compaction threshold folds them into the DCSC base (DistCsc::merge_delta)
-// — the full-rebuild path always compacts first so lacc_dist_body sees the
+// — the rebuild path always compacts first so lacc_dist_body sees the
 // whole accumulated graph.
 //
 // Labels are *canonical*: label[v] is the minimum vertex id of v's
@@ -57,17 +58,10 @@ class VersionSet;
 
 /// Streaming policy knobs on top of the static algorithm's LaccOptions.
 struct StreamOptions {
-  /// Options for the full-recompute path and the comm tuning (hotspot
-  /// broadcast, hypercube all-to-all, ...) shared by the incremental
-  /// kernels.
+  /// Options for the rebuild path and the comm tuning (hotspot broadcast,
+  /// hypercube all-to-all, ...) shared by the incremental kernels;
+  /// `max_iterations` also bounds the incremental hook rounds.
   core::LaccOptions lacc;
-
-  /// Fall back to a full lacc_dist recompute when the vertex mass of
-  /// components touched by cross-component edges exceeds this fraction of
-  /// n.  0 forces a rebuild on every epoch with cross edges (the
-  /// from-scratch baseline bench_stream compares against); 1 disables the
-  /// fallback.
-  double rebuild_threshold = 0.15;
 
   /// Compact delta runs into the DCSC base once their global entry count
   /// exceeds this fraction of the base's nnz — the LSM write-amplification
@@ -101,12 +95,11 @@ struct EpochStats {
   EdgeId batch_edges = 0;         ///< canonical edges ingested since last epoch
   EdgeId delta_nnz = 0;           ///< global delta entries resident after epoch
   std::uint64_t cross_edges = 0;  ///< batch edges joining distinct components
-  std::uint64_t dirty_vertices = 0;  ///< vertex mass of touched components
   std::uint64_t merges = 0;          ///< components merged away this epoch
   std::uint64_t components = 0;      ///< components after the epoch
   std::uint64_t relabeled_vertices = 0;  ///< labels that changed
   std::uint64_t boundary_extracted = 0;  ///< cross-shard edges parked this epoch
-  bool full_rebuild = false;  ///< took the lacc_dist fallback path
+  bool full_rebuild = false;  ///< cross_edges > 2·n: recomputed with lacc_dist
   bool compacted = false;     ///< delta runs merged into the DCSC base
   int iterations = 0;  ///< hook/shortcut rounds (or lacc_dist iterations)
   double ingest_modeled_seconds = 0;   ///< routing cost of this epoch's batches
@@ -148,8 +141,9 @@ class StreamEngine {
   graph::CanonicalizeStats ingest(graph::EdgeList batch);
 
   /// Close the current batch window: fold every pending edge into the
-  /// labels (incrementally or via full recompute per StreamOptions) and
-  /// start a new epoch.  Valid with no pending edges (an empty epoch).
+  /// labels (incrementally, or by a full recompute for a batch of more than
+  /// 2·n cross pairs) and start a new epoch.  Valid with no pending edges
+  /// (an empty epoch).
   EpochStats advance_epoch();
 
   /// Boundary-edge extraction at epoch commit (sharded engines only):

@@ -364,10 +364,14 @@ TEST(DurableEngine, TornWalTailIsDiscardedNotFatal) {
     golden = engine.labels();
     engine.ingest(batches[1]);  // pending record on every rank
   }
-  // Tear rank 2's tail: its copy of the pending record is now partial, so
-  // the replay limit drops the record on every rank (it was never part of a
-  // published epoch) and recovery still succeeds.
-  const std::string wal = dir + "/wal/gen1-r2.wal";
+  // Tear rank 2's tail in the live WAL generation: its copy of the pending
+  // record is now partial, so the replay limit drops the record on every
+  // rank (it was never part of a published epoch) and recovery still
+  // succeeds.
+  durable::Manifest mf;
+  ASSERT_TRUE(durable::load_manifest(dir, mf));
+  const std::string wal =
+      dir + "/wal/gen" + std::to_string(mf.wal_gen) + "-r2.wal";
   ASSERT_TRUE(fs::exists(wal));
   fs::resize_file(wal, fs::file_size(wal) - 9);
 

@@ -1,5 +1,5 @@
 // StreamEngine unit tests: epoch bookkeeping, versioned queries, the
-// incremental/full-rebuild policy, compaction, and error handling.
+// incremental/rebuild choice, compaction, and error handling.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -88,19 +88,44 @@ TEST(StreamEngine, DuplicateAndInternalEdgesAreFiltered) {
   EXPECT_EQ(st.merges, 0u);
 }
 
-TEST(StreamEngine, ZeroThresholdForcesFullRebuild) {
+/// The first `count` distinct edges of a dense clustered graph on n = 40.
+/// On the empty graph every distinct edge is a cross pair, so one batch of
+/// them carries exactly `count` cross pairs.
+graph::EdgeList dense_prefix(std::size_t count) {
+  auto el = graph::clustered_components(40, 5, 10.0, /*seed=*/2);
+  graph::canonicalize(el);
+  EXPECT_GT(el.edges.size(), count);
+  el.edges.resize(count);
+  return el;
+}
+
+/// Runs one batch of `count` cross pairs with compaction otherwise off, so
+/// `compacted` reports the rebuild's forced compaction alone.
+EpochStats run_dense_batch(std::size_t count) {
   StreamOptions options;
-  options.rebuild_threshold = 0.0;
+  options.compaction_factor = 1e9;
   StreamEngine engine(40, 4, sim::MachineModel::local(), options);
-  const auto el = graph::clustered_components(40, 5, 3.0, /*seed=*/2);
+  const auto el = dense_prefix(count);
   engine.ingest(el);
   const auto st = engine.advance_epoch();
-  ASSERT_GT(st.cross_edges, 0u);
-  EXPECT_TRUE(st.full_rebuild);
-  EXPECT_TRUE(st.compacted);  // the rebuild path compacts first
-
+  EXPECT_EQ(st.cross_edges, count);
   const auto truth = baselines::union_find_cc(el);
   EXPECT_EQ(engine.labels(), core::normalize_labels(truth.parent));
+  return st;
+}
+
+TEST(StreamEngine, MoreThanTwoNCrossPairsForceFullRebuild) {
+  const auto st = run_dense_batch(2 * 40 + 1);
+  EXPECT_TRUE(st.full_rebuild);
+  EXPECT_TRUE(st.compacted);  // the rebuild path compacts first
+  EXPECT_EQ(st.delta_nnz, 0u);
+}
+
+TEST(StreamEngine, AtMostTwoNCrossPairsStayIncremental) {
+  const auto st = run_dense_batch(2 * 40);
+  EXPECT_FALSE(st.full_rebuild);
+  EXPECT_FALSE(st.compacted);
+  EXPECT_EQ(st.delta_nnz, 2u * 2 * 40);  // both directions of every edge
 }
 
 TEST(StreamEngine, CompactionPolicyControlsDeltaResidency) {
@@ -109,7 +134,6 @@ TEST(StreamEngine, CompactionPolicyControlsDeltaResidency) {
   for (const double factor : {1e9, 0.0}) {
     StreamOptions options;
     options.compaction_factor = factor;
-    options.rebuild_threshold = 1.0;  // never rebuild
     StreamEngine engine(30, 1, sim::MachineModel::local(), options);
     engine.ingest(single_edge(30, 0, 1));
     const auto st = engine.advance_epoch();

@@ -48,6 +48,28 @@ std::vector<graph::EdgeList> random_batches(const graph::EdgeList& el,
   return out;
 }
 
+/// 260 vertices in 4 batches.  The first is every edge of a dense graph on
+/// vertices 0..129: on the empty graph each distinct edge is a cross pair,
+/// and there are more than 2·n of them, so epoch 1 takes the rebuild path.
+/// Three random batches follow, streaming a sparse graph on the other 130
+/// vertices plus a few bridges into the dense part; they stay incremental.
+std::vector<graph::EdgeList> rebuild_then_incremental_batches(
+    std::uint64_t seed) {
+  const auto bulk = graph::clustered_components(130, 5, 12.0, /*seed=*/17);
+  const auto sparse = graph::clustered_components(130, 5, 4.0, /*seed=*/18);
+  auto rest = graph::disjoint_union(bulk, sparse);
+  rest.edges.erase(rest.edges.begin(),
+                   rest.edges.begin() +
+                       static_cast<std::ptrdiff_t>(bulk.edges.size()));
+  for (VertexId k = 0; k < 6; ++k)
+    rest.add(k * 17 % bulk.n, bulk.n + k * 13 % sparse.n);
+  std::vector<graph::EdgeList> out(1, graph::EdgeList(rest.n));
+  out[0].edges = bulk.edges;
+  for (auto& batch : random_batches(rest, 3, seed))
+    out.push_back(std::move(batch));
+  return out;
+}
+
 class StreamProperty : public ::testing::TestWithParam<Workload> {};
 
 TEST_P(StreamProperty, EveryEpochMatchesSerialCcAndUnionFind) {
@@ -87,8 +109,10 @@ INSTANTIATE_TEST_SUITE_P(
 /// engine's labels must be bit-identical to a from-scratch lacc_dist run on
 /// the accumulated graph at every epoch, under every combo.
 TEST(StreamOptionSweep, AllFlagCombosBitIdenticalToFromScratchLacc) {
-  const auto full = graph::clustered_components(260, 10, 4.0, /*seed=*/17);
-  const auto batches = random_batches(full, 4, /*seed=*/23);
+  // The bulk first batch takes the rebuild path, the rest the incremental
+  // one, under every combo.
+  const auto batches = rebuild_then_incremental_batches(/*seed=*/23);
+  const VertexId n = batches.front().n;
   for (const bool sparse : {false, true}) {
     for (const bool hypercube : {false, true}) {
       for (const bool cyclic : {false, true}) {
@@ -97,12 +121,9 @@ TEST(StreamOptionSweep, AllFlagCombosBitIdenticalToFromScratchLacc) {
         options.lacc.sparse_uncond_hooking = sparse;
         options.lacc.hypercube_alltoall = hypercube;
         options.lacc.cyclic_vectors = cyclic;
-        // Middle threshold: this workload exercises both the incremental
-        // and the full-rebuild path across the batch sequence.
-        options.rebuild_threshold = 0.3;
 
-        StreamEngine engine(full.n, 4, sim::MachineModel::local(), options);
-        graph::EdgeList accumulated(full.n);
+        StreamEngine engine(n, 4, sim::MachineModel::local(), options);
+        graph::EdgeList accumulated(n);
         bool saw_incremental = false, saw_rebuild = false;
         for (const auto& batch : batches) {
           accumulated.edges.insert(accumulated.edges.end(),
@@ -124,26 +145,25 @@ TEST(StreamOptionSweep, AllFlagCombosBitIdenticalToFromScratchLacc) {
   }
 }
 
-/// The rebuild path must honor the sampling pre-pass: forcing a full
-/// rebuild every epoch (threshold 0) with `sampling_prepass` on, each
-/// epoch's labels must stay bit-identical to a from-scratch prepass-on
-/// lacc_dist on the accumulated graph and to union-find truth.
+/// The rebuild path must honor the sampling pre-pass: with
+/// `sampling_prepass` on, the bulk first batch's rebuild and the
+/// incremental epochs after it must stay bit-identical to a from-scratch
+/// prepass-on lacc_dist on the accumulated graph and to union-find truth.
 TEST(StreamPrepass, RebuildPathWithPrepassStaysBitIdentical) {
-  const auto full = graph::clustered_components(260, 10, 4.0, /*seed=*/17);
-  const auto batches = random_batches(full, 4, /*seed=*/29);
+  const auto batches = rebuild_then_incremental_batches(/*seed=*/29);
+  const VertexId n = batches.front().n;
   StreamOptions options;
   options.lacc.sampling_prepass = true;
-  options.rebuild_threshold = 0.0;  // any cross edge forces the rebuild path
 
-  StreamEngine engine(full.n, 4, sim::MachineModel::local(), options);
-  graph::EdgeList accumulated(full.n);
-  bool saw_rebuild = false;
+  StreamEngine engine(n, 4, sim::MachineModel::local(), options);
+  graph::EdgeList accumulated(n);
+  bool saw_incremental = false, saw_rebuild = false;
   for (const auto& batch : batches) {
     accumulated.edges.insert(accumulated.edges.end(), batch.edges.begin(),
                              batch.edges.end());
     engine.ingest(batch);
     const auto st = engine.advance_epoch();
-    saw_rebuild |= st.full_rebuild;
+    (st.full_rebuild ? saw_rebuild : saw_incremental) = true;
 
     const auto truth = baselines::union_find_cc(accumulated);
     ASSERT_EQ(engine.labels(), core::normalize_labels(truth.parent))
@@ -155,7 +175,29 @@ TEST(StreamPrepass, RebuildPathWithPrepassStaysBitIdentical) {
     ASSERT_EQ(engine.labels(), core::normalize_labels(scratch.cc.parent))
         << "epoch=" << engine.epoch();
   }
+  EXPECT_TRUE(saw_incremental);
   EXPECT_TRUE(saw_rebuild);
+}
+
+/// Hook rounds are O(log n).  An id-sorted path fed as one batch hooks each
+/// vertex onto its predecessor, a chain of 4,095 links; hooking and then
+/// shortcutting in every round halves it, so the rounds stay within
+/// 2·⌈log2 4096⌉.
+TEST(StreamRounds, IdSortedPathConvergesInLogRounds) {
+  const auto el =
+      graph::disjoint_union(graph::path(4096), graph::empty_graph(36864));
+  const auto truth =
+      core::normalize_labels(baselines::union_find_cc(el).parent);
+  for (const int ranks : {1, 4, 9}) {
+    StreamOptions options;
+    options.lacc.max_iterations = 64;
+    StreamEngine engine(el.n, ranks, sim::MachineModel::local(), options);
+    engine.ingest(el);
+    const auto st = engine.advance_epoch();
+    EXPECT_FALSE(st.full_rebuild);
+    EXPECT_LE(st.iterations, 24) << "ranks=" << ranks;
+    ASSERT_EQ(engine.labels(), truth) << "ranks=" << ranks;
+  }
 }
 
 }  // namespace
